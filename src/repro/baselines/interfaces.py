@@ -40,6 +40,10 @@ class DuplicateKeyError(IndexError_):
     """Raised when inserting a key that already exists."""
 
 
+class InvalidKeyError(IndexError_, ValueError):
+    """Raised for a key no index can order: NaN or an infinity."""
+
+
 class EmptyIndexError(IndexError_):
     """Raised when querying an index that was never loaded."""
 
@@ -111,6 +115,15 @@ class BaseIndex(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int:
         """Number of live keys."""
+
+    def peek(self, key: Key) -> Value | None:
+        """:meth:`lookup` that records no telemetry (spans, SLO, metrics).
+
+        For internal reads that are not client operations, such as a
+        write-ahead log's rollback peek. Indexes without telemetry inherit
+        this plain lookup.
+        """
+        return self.lookup(key)
 
     # -- optional API (updatable indexes) ----------------------------------
 

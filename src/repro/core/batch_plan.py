@@ -344,7 +344,7 @@ class BatchQueryPlan:
         One gathered descent routes every key and one vectorised Eq. 2
         pass computes every home slot; placement then replays the scalar
         outward scan in stream order against the shared store — an
-        occupancy *simulation* in the spirit of the fused rehash, probing
+        occupancy *simulation* in the spirit of the rehash re-placement, probing
         slot values directly so duplicate detection, nearest-free-slot
         choice, probe totals, and conflict-degree growth are the scalar
         loop's, operation for operation. Per-leaf bookkeeping (``n_keys``,
@@ -693,7 +693,7 @@ class BatchQueryPlan:
                             else [(self.inners[p], int(self.leaf_rank[lid]))]
                         )
                         _, split_done, rehash_done = index._insert_at_leaf(
-                            key, value, leaves[lid], path, fused_maintenance=True
+                            key, value, leaves[lid], path
                         )
                         if split_done:
                             blocked.add(lid)
@@ -884,7 +884,7 @@ def _insert_continue(
             child = make_leaf(np.empty(0), [], low, high, index.config, counters)
             node.children[r] = child
         node = child
-    index._insert_at_leaf(key, value, node, path, fused_maintenance=True)
+    index._insert_at_leaf(key, value, node, path)
 
 
 def _delete_from(

@@ -21,6 +21,13 @@ object array for values, so the batch entry points (:meth:`lookup_batch`,
 vectorisation and one window-gather comparison. Scalar and batch paths
 share the same backing store and increment the same counters by the same
 totals (see docs/cost_model.md).
+
+A single key's scan follows the shared offset table ``_ORDER`` (0, +1, -1,
++2, -2, ...), so the probes it charges are its scan position count. The
+scalar operations probe offsets 0.._GATHER_MIN one slot at a time and
+finish longer windows with one gather over the slot array: a key deep in
+a locally skewed cluster costs a few numpy calls instead of hundreds of
+interpreted probes, with counters, layout and raises unchanged.
 """
 
 from __future__ import annotations
@@ -40,11 +47,59 @@ from ..obs import trace as obs_trace
 #: a wall-clock decision.
 _BATCH_MIN = 8
 
-#: Fused rehashes at or below this live-key count run the re-placement on
+#: Rehashes at or below this live-key count run the re-placement on
 #: plain lists instead of ndarray gathers/scatters — numpy's fixed per-call
 #: overhead dominates at load-trigger leaf sizes. Purely a wall-clock
 #: switch; both paths are counter- and layout-identical.
 _REHASH_SMALL_N = 160
+
+#: Scalar probes inspect offsets 0.._GATHER_MIN one slot at a time; longer
+#: windows are finished with one numpy gather (docs/cost_model.md has the
+#: measurement). Purely a wall-clock switch: both paths count identically.
+#: The scalar head reads ``_ORDER_LIST``, so it must stay below 4096.
+_GATHER_MIN = 8
+
+
+def _interleaved(lo: int, hi: int) -> np.ndarray:
+    """Probe offsets of scan positions ``lo..hi-1``: 0, +1, -1, +2, -2, ..."""
+    positions = np.arange(lo, hi, dtype=np.int64)
+    offsets = (positions + 1) >> 1
+    return np.where(positions & 1, offsets, -offsets)
+
+
+#: The outward probe order: scan position p from home slot h inspects slot
+#: ``(h + _ORDER[p]) % c``. Offset o sits at positions 2o-1 (+o) and 2o
+#: (-o), so offsets 0..o span :meth:`ErrorBoundedHash._span` positions and
+#: a full ring c positions. On an even ring the apex's -c/2 entry
+#: (position c) repeats +c/2; every scan stops before it. Windows longer
+#: than the table (cd above 4096) take their tail from :func:`_order`.
+_ORDER = _interleaved(0, 1 << 13)
+#: ``_ORDER`` as Python ints, for the scalar probe heads.
+_ORDER_LIST: list[int] = _ORDER.tolist()
+
+
+def _order(lo: int, hi: int) -> np.ndarray:
+    """``_ORDER[lo:hi]``, computed when it runs past the table."""
+    return _ORDER[lo:hi] if hi <= _ORDER.size else _interleaved(lo, hi)
+
+
+def _nearest_free(occupied: bytearray, home: int) -> tuple[int, int]:
+    """``(slot, offset)`` of the first free slot an outward scan meets.
+
+    One forward and one backward byte search (each wrapping once) find the
+    nearest free slot on either side of ``home``; at equal offsets the scan
+    reaches ``+o`` first. ``occupied`` must hold a free slot.
+    """
+    cap = len(occupied)
+    up = occupied.find(0, home)
+    if up < 0:
+        up = occupied.find(0) + cap
+    down = occupied.rfind(0, 0, home)
+    if down < 0:
+        down = occupied.rfind(0) - cap
+    if up - home <= home - down:
+        return up % cap, up - home
+    return down % cap, home - down
 
 
 class ErrorBoundedHash:
@@ -119,94 +174,142 @@ class ErrorBoundedHash:
         """
         return min(self.conflict_degree, self.capacity // 2)
 
-    def _offset_slots(self, home: int, offset: int) -> tuple[int, ...]:
-        """Distinct slots at ``offset`` from ``home`` (deduplicated).
+    def _span(self, offset: int) -> int:
+        """Scan positions (= slot probes) covering offsets 0..``offset``.
 
-        ``(home + o) % c`` and ``(home - o) % c`` coincide when
-        ``2 * o % c == 0`` — at offset 0 and, for even capacity, at
-        ``c / 2`` — in which case the slot is probed (and counted) once.
+        Two slots per nonzero offset, except the apex ``c / 2`` of an even
+        ring, where ``+o`` and ``-o`` coincide (as they do at offset 0).
         """
+        return 2 * offset + (0 if offset and 2 * offset == self.capacity else 1)
+
+    def _find(self, key: float) -> tuple[int, int]:
+        """Scan the cd window outward for ``key``: ``(slot, probes)``.
+
+        ``slot`` is -1 on a miss. Counts the model eval and the probes.
+        Offsets 0.._GATHER_MIN are probed one by one, so a hit near home
+        stays cheap; the rest of the window is one gather whose first
+        match sits at the scan position the loop would have reached.
+        """
+        home = self.home_slot(key)
+        keys = self._keys
+        if keys[home] == key:  # most keys of a bulk-loaded leaf sit at home
+            self.counters.slot_probes += 1
+            return home, 1
         cap = self.capacity
-        if offset == 0 or 2 * offset == cap:
-            return ((home + offset) % cap,)
-        return ((home + offset) % cap, (home - offset) % cap)
+        n = self._span(self._window_limit())
+        head = min(n, 2 * _GATHER_MIN + 1)
+        for pos in range(1, head):
+            slot = (home + _ORDER_LIST[pos]) % cap
+            if keys[slot] == key:
+                self.counters.slot_probes += pos + 1
+                return slot, pos + 1
+        if head < n:
+            offsets = _order(head, n)
+            match = keys.take(offsets + home, mode="wrap") == key
+            pos = int(match.argmax())
+            if match[pos]:
+                self.counters.slot_probes += head + pos + 1
+                return (home + int(offsets[pos])) % cap, head + pos + 1
+        self.counters.slot_probes += n
+        return -1, n
 
     # -- operations ----------------------------------------------------------
 
     def lookup(self, key: float) -> Any | None:
         """Find ``key`` within the conflict-degree window, else None."""
-        home = self.home_slot(key)
-        keys = self._keys
-        probes = 0
-        for offset in range(self._window_limit() + 1):
-            for slot in self._offset_slots(home, offset):
-                probes += 1
-                if keys[slot] == key:
-                    self.counters.slot_probes += probes
-                    if obs_metrics.ACTIVE is not None:
-                        obs_metrics.ACTIVE.observe("chameleon_probe_length_slots", probes)
-                    return self._values[slot]
-        self.counters.slot_probes += probes
+        slot, probes = self._find(key)
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.observe("chameleon_probe_length_slots", probes)
-        return None
+        return None if slot < 0 else self._values[slot]
+
+    def peek(self, key: float) -> Any | None:
+        """:meth:`lookup` without the probe-length metric (same counters)."""
+        slot, _ = self._find(key)
+        return None if slot < 0 else self._values[slot]
 
     def insert(self, key: float, value: Any) -> None:
         """Place ``key`` at the nearest free slot to its home slot.
+
+        The outward scan covers the whole cd window (a duplicate can only
+        sit there) and then stops at the end of the first offset holding a
+        free slot; the key lands in the first free slot scanned. Short
+        windows run the scalar loop over offsets 0.._GATHER_MIN; otherwise,
+        or when that head holds no free slot, the scan continues in
+        gathered chunks that double in length.
 
         Raises:
             DuplicateKeyError: if the key is already stored.
             OverflowError: if the node is full (callers expand first).
         """
-        if self.n_keys >= self.capacity:
+        cap = self.capacity
+        if self.n_keys >= cap:
             raise OverflowError("EBH node is full; expand before inserting")
         home = self.home_slot(key)
         keys = self._keys
-        cap = self.capacity
+        cd = self.conflict_degree
+        # _span(_window_limit()) inlined: bulk loads run this per key.
+        window = self._span(cd if 2 * cd <= cap else cap >> 1)
+        head = 2 * _GATHER_MIN + 1
+        free = slot = -1
         probes = 0
-        free_slot = -1
-        free_offset = -1
-        # One pass outward: detect duplicates inside the cd window and find
-        # the nearest free slot. Beyond the cd window a duplicate cannot
-        # exist, so the scan may stop at the first free slot found there.
-        # Offsets past c // 2 only revisit already-probed slots, so the
-        # deduplicated scan covers the whole ring by then.
-        for offset in range(cap // 2 + 1):
-            for slot in self._offset_slots(home, offset):
-                probes += 1
-                stored = keys[slot]
+        if window <= head:
+            stop = head if head < cap else cap
+            for pos, offset in enumerate(_ORDER_LIST):
+                if pos == stop:
+                    break
+                stored = keys[(home + offset) % cap]
                 if stored == key:
-                    self.counters.slot_probes += probes
+                    self.counters.slot_probes += pos + 1
                     raise DuplicateKeyError(f"key already present: {key!r}")
-                if free_slot < 0 and math.isnan(stored):
-                    free_slot, free_offset = slot, offset
-            if free_slot >= 0 and offset >= self.conflict_degree:
-                break
+                if free < 0 and stored != stored:
+                    free, slot = pos, (home + offset) % cap
+                    # Charge through the end of this offset (its -o slot
+                    # comes next unless the ring ends) and the cd window.
+                    stop = pos + 1 + (pos & 1)
+                    if stop < window:
+                        stop = window
+                    elif stop > cap:
+                        stop = cap
+            probes = stop
+        if free < 0:
+            scanned = probes
+            hi = min(cap, max(window, scanned) + 2 * _GATHER_MIN + 2)
+            while free < 0:
+                if scanned >= cap:
+                    self.counters.slot_probes += cap
+                    raise OverflowError("EBH node is full; expand before inserting")
+                offsets = _order(scanned, hi)
+                stored_arr = keys.take(offsets + home, mode="wrap")
+                if scanned < window:
+                    dup = stored_arr[: window - scanned] == key
+                    pos = int(dup.argmax())
+                    if dup[pos]:
+                        self.counters.slot_probes += scanned + pos + 1
+                        raise DuplicateKeyError(f"key already present: {key!r}")
+                empty = np.isnan(stored_arr)
+                pos = int(empty.argmax())
+                if empty[pos]:
+                    free = scanned + pos
+                    slot = (home + int(offsets[pos])) % cap
+                scanned, hi = hi, min(cap, 2 * hi)
+            probes = max(window, self._span((free + 1) >> 1))
         self.counters.slot_probes += probes
-        if free_slot < 0:
-            raise OverflowError("EBH node is full; expand before inserting")
-        keys[free_slot] = key
-        self._values[free_slot] = value
+        keys[slot] = key
+        self._values[slot] = value
         self.n_keys += 1
-        if free_offset > self.conflict_degree:
+        free_offset = (free + 1) >> 1
+        if free_offset > cd:
             self.conflict_degree = free_offset
 
     def delete(self, key: float) -> bool:
         """Clear ``key``'s slot; return True if the key was present."""
-        home = self.home_slot(key)
-        keys = self._keys
-        probes = 0
-        for offset in range(self._window_limit() + 1):
-            for slot in self._offset_slots(home, offset):
-                probes += 1
-                if keys[slot] == key:
-                    keys[slot] = np.nan
-                    self._values[slot] = None
-                    self.n_keys -= 1
-                    self.counters.slot_probes += probes
-                    return True
-        self.counters.slot_probes += probes
-        return False
+        slot, _ = self._find(key)
+        if slot < 0:
+            return False
+        self._keys[slot] = np.nan
+        self._values[slot] = None
+        self.n_keys -= 1
+        return True
 
     # -- batch operations ------------------------------------------------------
 
@@ -250,8 +353,7 @@ class ErrorBoundedHash:
             minus_o = np.zeros(m, dtype=np.int64)
 
         # Keys are unique in an EBH node, so at most one side matches.
-        miss_probes = 1 + 2 * limit - (1 if 2 * limit == cap and limit > 0 else 0)
-        probes = np.full(m, miss_probes, dtype=np.int64)
+        probes = np.full(m, self._span(limit), dtype=np.int64)
         probes[minus_any] = 2 * minus_o[minus_any] + 1
         probes[plus_any] = np.where(plus_o[plus_any] == 0, 1, 2 * plus_o[plus_any])
 
@@ -330,9 +432,7 @@ class ErrorBoundedHash:
         pos = 0
         while pos < m:
             homes = homes_all[pos:]
-            cap = self.capacity
-            limit = self._window_limit()
-            w = 1 + 2 * limit - (1 if (2 * limit == cap and limit > 0) else 0)
+            w = self._span(self._window_limit())
             free = np.isnan(store[homes])
             # Only the first key aimed at each home slot is collision-free;
             # later ones must probe (and may raise the conflict degree).
@@ -416,33 +516,30 @@ class ErrorBoundedHash:
         return list(zip(self._keys[ordered].tolist(), self._values[ordered].tolist()))
 
     def rehash(self, new_capacity: int, low_key: float | None = None,
-               high_key: float | None = None, refit: bool = False,
-               fused: bool = False) -> None:
+               high_key: float | None = None, refit: bool = False) -> None:
         """Rebuild in place at a new capacity (and optionally new interval).
 
         No sorting is required — this is the property Fig. 14 credits for
-        Chameleon's low retraining time.
+        Chameleon's low retraining time. The live pairs are re-placed in
+        slot order with one Eq. 2 pass and an occupancy simulation of the
+        scalar probe loop: counter totals, the conflict degree and the
+        final slot layout are bit-identical to re-inserting them one by
+        one with :meth:`insert`.
 
         Args:
             new_capacity: slot count after the rebuild.
             low_key/high_key: explicit new model interval.
             refit: when True, refit the model interval to the live keys'
                 span (keeps the hash flat as inserts drift the key range).
-            fused: when True, re-place the live pairs with one vectorised
-                Eq. 2 evaluation and a lightweight occupancy simulation of
-                the scalar probe loop instead of per-pair :meth:`insert`
-                calls. Counter totals, the conflict degree, and the final
-                slot layout are bit-identical either way; the batch write
-                path uses this to keep rehash off its critical path.
         """
         if new_capacity < self.n_keys:
             raise ValueError("new capacity below live key count")
         # Typical load-trigger rehashes move a few dozen keys; below
-        # _REHASH_SMALL_N the fused path skips every intermediate ndarray
+        # _REHASH_SMALL_N the re-placement skips every intermediate ndarray
         # (gather, home vector, scatter) and runs the same simulation on
         # plain lists — numpy's fixed per-call overhead dominates at that
         # size. Both branches are bit-identical in counters and layout.
-        small = fused and self.n_keys <= _REHASH_SMALL_N
+        small = self.n_keys <= _REHASH_SMALL_N
         if small:
             kl = self._keys.tolist()
             vl = self._values.tolist()
@@ -487,113 +584,45 @@ class ErrorBoundedHash:
             )
         if obs_metrics.ACTIVE is not None:
             obs_metrics.ACTIVE.inc("chameleon_leaf_rehash_total")
-        if not fused:
-            for k, v in zip(live_key_arr.tolist(), live_values.tolist()):
-                self.insert(k, v)
-            return
         if n_live == 0:
             return
-        # Fused re-placement: one Eq. 2 pass for the home slots, then a
-        # pure-Python occupancy simulation of the scalar outward scan (the
-        # array is freshly empty, so slot contents reduce to an
-        # occupied/free bit) — same probe totals, same cd evolution, same
-        # final slot per key.
+        # Re-placement: one Eq. 2 pass for the home slots, then the
+        # scalar outward scan replayed on an occupancy bitmap. The array is
+        # freshly empty, so a scan meets no duplicate and ends at the first
+        # free slot, charged through the cd window — same probe totals,
+        # same cd evolution, same final slot per key.
         cap = self.capacity
-        occupied = bytearray(cap)
-        cd = 0
-        total_probes = 0
-        if small:
+        if not small:
+            homes = self._raw_home_slots(live_key_arr).tolist()
+        elif self.high_key > self.low_key:
             span = self.high_key - self.low_key
-            alpha = self.alpha
-            low = self.low_key
-            keys_arr = self._keys
-            vals_arr = self._values
-            half = cap // 2
-            for i in range(n_live):
-                k = live_keys[i]
-                if span <= 0.0:
-                    home = 0
-                else:
-                    home = int(math.floor(alpha * (cap * (k - low) / span))) % cap
-                # The table is freshly empty, so the scalar scan reduces to
-                # "first free slot in candidate order"; once it is found the
-                # remaining offsets up to cd only add probes, which have the
-                # closed form 2*(cd - f) (minus one when offset cap/2, a
-                # single-candidate rung, falls inside the tail).
-                probes = 0
-                free_slot = -1
-                free_offset = 0
-                for offset in range(half + 1):
-                    plus = home + offset
-                    if plus >= cap:
-                        plus -= cap
-                    probes += 1
-                    if not occupied[plus]:
-                        free_slot, free_offset = plus, offset
-                        if offset and offset + offset != cap:
-                            probes += 1
-                        break
-                    if offset and offset + offset != cap:
-                        minus = home - offset
-                        if minus < 0:
-                            minus += cap
-                        probes += 1
-                        if not occupied[minus]:
-                            free_slot, free_offset = minus, offset
-                            break
-                if free_offset < cd:
-                    probes += 2 * (cd - free_offset)
-                    if cd + cd == cap:
-                        probes -= 1
-                total_probes += probes
-                occupied[free_slot] = 1
-                keys_arr[free_slot] = k
-                vals_arr[free_slot] = live_vals[i]
-                if free_offset > cd:
-                    cd = free_offset
-            self.n_keys = n_live
-            self.conflict_degree = cd
-            self.counters.model_evals += n_live
-            self.counters.slot_probes += total_probes
-            return
-        homes = self._raw_home_slots(live_key_arr)
-        slots_out = np.empty(n_live, dtype=np.int64)
-        half = cap // 2
-        for i, home in enumerate(homes.tolist()):
-            # Same first-free scan + closed-form tail probes as the small
-            # branch above — the empty-table simplification is identical.
-            probes = 0
-            free_slot = -1
-            free_offset = 0
-            for offset in range(half + 1):
-                plus = home + offset
-                if plus >= cap:
-                    plus -= cap
-                probes += 1
-                if not occupied[plus]:
-                    free_slot, free_offset = plus, offset
-                    if offset and offset + offset != cap:
-                        probes += 1
-                    break
-                if offset and offset + offset != cap:
-                    minus = home - offset
-                    if minus < 0:
-                        minus += cap
-                    probes += 1
-                    if not occupied[minus]:
-                        free_slot, free_offset = minus, offset
-                        break
-            if free_offset < cd:
-                probes += 2 * (cd - free_offset)
-                if cd + cd == cap:
-                    probes -= 1
-            total_probes += probes
-            occupied[free_slot] = 1
-            slots_out[i] = free_slot
-            if free_offset > cd:
-                cd = free_offset
-        self._keys[slots_out] = live_key_arr
-        self._values[slots_out] = live_values
+            alpha, low = self.alpha, self.low_key
+            homes = [int(math.floor(alpha * (cap * (k - low) / span))) % cap for k in live_keys]
+        else:
+            homes = [0] * n_live
+        occupied = bytearray(cap)
+        slots: list[int] = []
+        cd = 0
+        window = self._span(cd)
+        total_probes = 0
+        for home in homes:
+            if occupied[home]:
+                slot, offset = _nearest_free(occupied, home)
+                if offset > cd:
+                    cd = offset
+                    window = self._span(cd)
+            else:
+                slot = home
+            total_probes += window
+            occupied[slot] = 1
+            slots.append(slot)
+        if small:
+            for slot, k, v in zip(slots, live_keys, live_vals):
+                self._keys[slot] = k
+                self._values[slot] = v
+        else:
+            self._keys[slots] = live_key_arr
+            self._values[slots] = live_values
         self.n_keys = n_live
         self.conflict_degree = cd
         self.counters.model_evals += n_live

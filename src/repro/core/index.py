@@ -10,6 +10,7 @@ TSMDP under interval locks without blocking queries.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -19,6 +20,7 @@ from ..baselines.interfaces import (
     BaseIndex,
     Capabilities,
     EmptyIndexError,
+    InvalidKeyError,
     Key,
     Value,
     as_key_value_arrays,
@@ -47,6 +49,22 @@ _FUSED_MIN = 32
 #: positions of its keys in the batch, and the leaf's (parent, rank) slot —
 #: ``(None, 0)`` when the root itself is the leaf.
 _BatchVisit = Callable[[LeafNode, np.ndarray, "InnerNode | None", int], None]
+
+
+def _finite_key(key: Key) -> float:
+    """``key`` as a float, rejecting NaN and infinities with a typed error."""
+    key_f = float(key)
+    if not math.isfinite(key_f):
+        raise InvalidKeyError(f"key must be finite, got {key!r}")
+    return key_f
+
+
+def _finite_keys(keys: "Sequence[Key] | np.ndarray") -> np.ndarray:
+    """Batch form of :func:`_finite_key`: a contiguous float64 key vector."""
+    karr = np.ascontiguousarray(keys, dtype=np.float64)
+    if not np.isfinite(karr).all():
+        raise InvalidKeyError("batch contains a non-finite key")
+    return karr
 
 
 class ChameleonIndex(BaseIndex):
@@ -116,7 +134,7 @@ class ChameleonIndex(BaseIndex):
         # disarmed cost is one attribute load and a pointer comparison.
         slo = obs_slo.ACTIVE
         t0 = time.monotonic_ns() if slo is not None else 0
-        result = self._lookup_op(float(key))
+        result = self._lookup_op(_finite_key(key))
         if slo is not None:
             slo.observe("lookup", time.monotonic_ns() - t0)
         return result
@@ -144,10 +162,24 @@ class ChameleonIndex(BaseIndex):
                     )
                 return leaf.ebh.lookup(key_f)
 
+    def peek(self, key: Key) -> Value | None:
+        """:meth:`lookup` without telemetry: no span, SLO sample or metric.
+
+        Does and counts the same structural work (query lock included);
+        counter-neutral callers bracket it with a counters snapshot.
+        """
+        key_f = _finite_key(key)
+        if self.lock_manager is None:
+            return self._descend(key_f)[0].ebh.peek(key_f)
+        ids, path = self._descend_upper(key_f)
+        with self.lock_manager.query_lock(ids, self.counters):
+            self.lock_manager.assert_interval_locked(ids, where="peek")
+            return self._descend_lower(key_f, path)[0].ebh.peek(key_f)
+
     def insert(self, key: Key, value: Value | None = None) -> None:
+        key_f = _finite_key(key)
         if self._root is None:
             raise EmptyIndexError("bulk_load before inserting")
-        key_f = float(key)
         stored = key_f if value is None else value
         slo = obs_slo.ACTIVE
         t0 = time.monotonic_ns() if slo is not None else 0
@@ -180,7 +212,6 @@ class ChameleonIndex(BaseIndex):
         value: Value,
         leaf: LeafNode,
         path: list[tuple[InnerNode, int]],
-        fused_maintenance: bool = False,
     ) -> tuple[LeafNode, bool, bool]:
         """Post-descent half of the scalar insert (shared with batch paths).
 
@@ -188,10 +219,8 @@ class ChameleonIndex(BaseIndex):
         descent has already been counted. ``path`` only needs the final
         ``(parent, rank)`` slot (what :meth:`_split_leaf` consumes); a
         successful split re-descends from the root exactly as the scalar
-        stream does. ``fused_maintenance`` routes a triggered rehash through
-        the counter-identical fused re-placement so batch callers keep it
-        off their critical path. Returns ``(landed_leaf, split, rehashed)``
-        so batch executors can invalidate their plan state.
+        stream does. Returns ``(landed_leaf, split, rehashed)`` so batch
+        executors can invalidate their plan state.
         """
         ebh = leaf.ebh
         split_done = False
@@ -216,7 +245,6 @@ class ChameleonIndex(BaseIndex):
                 ebh.rehash(
                     self.config.theorem1_capacity(grown),
                     refit=True,
-                    fused=fused_maintenance,
                 )
                 rehash_done = True
         ebh.insert(key, value)
@@ -226,9 +254,9 @@ class ChameleonIndex(BaseIndex):
         return leaf, split_done, rehash_done
 
     def delete(self, key: Key) -> bool:
+        key_f = _finite_key(key)
         if self._root is None:
             return False
-        key_f = float(key)
         slo = obs_slo.ACTIVE
         t0 = time.monotonic_ns() if slo is not None else 0
         removed = self._delete_op(key_f)
@@ -266,7 +294,7 @@ class ChameleonIndex(BaseIndex):
         is acquired once per batch instead of once per key — the only
         counters that legitimately differ from the scalar loop.
         """
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
+        karr = _finite_keys(keys)
         m = karr.size
         if m == 0:
             return []
@@ -309,9 +337,9 @@ class ChameleonIndex(BaseIndex):
         order; on a duplicate key the batch raises with exactly the
         preceding keys landed.
         """
+        karr = _finite_keys(keys)
         if self._root is None:
             raise EmptyIndexError("bulk_load before inserting")
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
         vals: list[Value] | None = None
         if values is not None:
             vals = list(values)
@@ -360,7 +388,7 @@ class ChameleonIndex(BaseIndex):
         from the root (as :meth:`_delete_locked` does) and EBH probe totals
         match the one-at-a-time stream, with locks amortised per interval.
         """
-        karr = np.ascontiguousarray(keys, dtype=np.float64)
+        karr = _finite_keys(keys)
         m = karr.size
         if m == 0:
             return []
@@ -430,7 +458,7 @@ class ChameleonIndex(BaseIndex):
 
         Within a leaf, stream order is preserved: maximal load-safe runs go
         through the fused EBH insert, and every load-trigger key replays
-        the scalar maintenance (split attempt, fused rehash) via
+        the scalar maintenance (split attempt, rehash) via
         :meth:`_insert_at_leaf`. A successful split re-descends the
         remaining keys from the root one at a time — exactly the scalar
         accounting — because the grouped routing is stale after the swap.
@@ -478,9 +506,7 @@ class ChameleonIndex(BaseIndex):
                     i = idx_list[pos]
                     k = float(karr[i])
                     v = k if vals is None else vals[i]
-                    leaf, split_done, _ = self._insert_at_leaf(
-                        k, v, leaf, path, fused_maintenance=True
-                    )
+                    leaf, split_done, _ = self._insert_at_leaf(k, v, leaf, path)
                     pos += 1
                     if split_done:
                         # Topology changed under this group: the remaining

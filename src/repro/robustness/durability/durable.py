@@ -281,10 +281,10 @@ class DurableIndex:
 
     @declared_contract("counter_neutral")
     def _peek(self, key: float) -> Value | None:
-        """Counter-neutral lookup (rollback needs the old value)."""
+        """Counter-neutral, telemetry-free lookup (rollback needs the old value)."""
         before = self.index.counters.snapshot()
         try:
-            return self.index.lookup(key)
+            return self.index.peek(key)
         finally:
             self.index.counters.restore(before)
 

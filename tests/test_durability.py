@@ -5,11 +5,13 @@ at *every* byte offset inside the final frame and demand that recovery
 never raises and never loses an operation before the torn one.
 """
 
+import math
 import shutil
 
 import pytest
 
 from repro.baselines import SortedArrayIndex
+from repro.baselines.interfaces import InvalidKeyError
 from repro.core import ChameleonIndex
 from repro.datasets import face_like
 from repro.robustness.durability import (
@@ -249,6 +251,27 @@ def test_wal_neutrality_counters_bit_identical(tmp_path):
 
     assert durable_results == plain_results
     assert wrapped.counters == plain.counters
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_key_is_rejected_before_logging(tmp_path, bad):
+    keys = [float(k) for k in face_like(300, seed=9)]
+    durable = DurableIndex(ChameleonIndex(strategy="ChaB"), tmp_path, fsync="always")
+    durable.bulk_load(keys[:200])
+    lsn = durable.last_lsn
+    calls = [
+        lambda: durable.insert(bad),
+        lambda: durable.delete(bad),
+        lambda: durable.insert_batch(keys[200:240] + [bad]),
+        lambda: durable.delete_batch(keys[:40] + [bad]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidKeyError):
+            call()
+        assert durable.last_lsn == lsn
+    assert len(durable.index) == 200
+    assert [r.lsn for r in scan(tmp_path / "wal").records] == [lsn]
+    durable.close()
 
 
 def test_short_write_fault_rolls_back_and_log_stays_clean(tmp_path):

@@ -1,12 +1,15 @@
 """Unit and property tests for Error Bounded Hashing (Section III/IV-A)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.counters import Counters
 from repro.baselines.interfaces import DuplicateKeyError
+from repro.core import ebh as ebh_mod
 from repro.core.ebh import ErrorBoundedHash
 
 
@@ -228,3 +231,104 @@ class TestPropertyBased:
         max_offset, avg_offset = ebh.error_stats()
         assert max_offset <= ebh.conflict_degree
         assert avg_offset <= max_offset
+
+
+#: Key pool for the probe-path equivalence streams over the interval
+#: [0, 1000): a cluster far narrower than one slot (long probe chains), a
+#: cluster at the top of the interval (chains that wrap past slot c-1), and
+#: spread keys.
+_POOL = (
+    [500.0 + i * 1e-3 for i in range(24)]
+    + [999.9 + i * 1e-4 for i in range(12)]
+    + [float(k) for k in range(7, 1000, 83)]
+)
+_OPS = ("insert", "insert", "insert", "lookup", "delete", "inflate")
+
+
+def _probe_stream(capacity, alpha, ops, gather_min, table=ebh_mod._ORDER.size):
+    """Run ``ops`` on a fresh leaf with the gather threshold at ``gather_min``
+    and the precomputed probe-order table cut to ``table`` positions.
+
+    Returns every result or raised exception type with the counters and
+    conflict degree after it, plus the final slot array bytes.
+    """
+    ebh = ErrorBoundedHash(0.0, 1000.0, capacity, alpha=alpha)
+    log = []
+    order = ebh_mod._ORDER[:table]
+    with (
+        mock.patch.object(ebh_mod, "_GATHER_MIN", gather_min),
+        mock.patch.object(ebh_mod, "_ORDER", order),
+        mock.patch.object(ebh_mod, "_ORDER_LIST", order.tolist()),
+    ):
+        for kind, i in ops:
+            key = _POOL[i]
+            try:
+                if kind == "insert":
+                    out = ebh.insert(key, i)
+                elif kind == "lookup":
+                    out = ebh.lookup(key)
+                elif kind == "delete":
+                    out = ebh.delete(key)
+                else:
+                    # An over-estimated cd keeps every key findable and
+                    # exercises the min(cd, c // 2) window cap.
+                    ebh.conflict_degree = capacity // 2 + i % 3
+                    out = None
+            except (DuplicateKeyError, OverflowError) as exc:
+                out = type(exc)
+            log.append(
+                (
+                    out,
+                    ebh.counters.slot_probes,
+                    ebh.counters.model_evals,
+                    ebh.conflict_degree,
+                )
+            )
+    return log, ebh._keys.tobytes()
+
+
+def _clustered(n, then=()):
+    return [("insert", i) for i in range(n)] + list(then)
+
+
+class TestGatheredProbe:
+    """Scalar and gathered probe paths are bit-identical."""
+
+    @given(
+        st.sampled_from([1, 2, 3, 8, 9, 16, 17, 32, 33]),
+        st.sampled_from([1, 131]),
+        st.lists(
+            st.tuples(st.sampled_from(_OPS), st.integers(0, len(_POOL) - 1)),
+            max_size=120,
+        ),
+    )
+    @example(16, 1, _clustered(12, [("insert", 11), ("insert", 3)]))  # dups past 0
+    @example(33, 1, _clustered(24, [("insert", 23), ("lookup", 22)]))  # past default
+    @example(9, 1, _clustered(9, [("insert", 20), ("lookup", 8)]))  # full, odd
+    @example(8, 1, _clustered(8, [("delete", 7), ("insert", 7)]))  # even apex
+    @example(17, 1, [("insert", 24 + i) for i in range(12)])  # wrap-around
+    @example(33, 1, _clustered(20, [("inflate", 2), ("insert", 21), ("lookup", 0)]))
+    @example(32, 131, _clustered(14, [("delete", 5), ("lookup", 5), ("insert", 5)]))
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_does_not_change_any_observable(self, capacity, alpha, ops):
+        # 1000 exceeds every window here: the all-scalar reference.
+        scalar = _probe_stream(capacity, alpha, ops, gather_min=1000)
+        assert _probe_stream(capacity, alpha, ops, gather_min=0) == scalar
+        assert _probe_stream(capacity, alpha, ops, ebh_mod._GATHER_MIN) == scalar
+        # Windows that run past the table take their tail from _order().
+        assert _probe_stream(capacity, alpha, ops, 2, table=6) == scalar
+
+    def test_long_cluster_charges_full_window(self):
+        """A miss scans the whole window; a hit stops at its scan position."""
+        counters = Counters()
+        ebh = ErrorBoundedHash(0.0, 1000.0, 64, alpha=1, counters=counters)
+        keys = [500.0 + i * 1e-3 for i in range(20)]
+        for k in keys:
+            ebh.insert(k, k)
+        assert ebh.conflict_degree == 10
+        before = counters.slot_probes
+        assert ebh.lookup(501.0) is None
+        assert counters.slot_probes - before == 21  # offsets 0..10, both sides
+        before = counters.slot_probes
+        assert ebh.lookup(keys[-1]) == keys[-1]  # lands at offset +10
+        assert counters.slot_probes - before == 20

@@ -1,9 +1,15 @@
 """Integration tests for ChameleonIndex (all strategies)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.baselines.interfaces import DuplicateKeyError, EmptyIndexError
+from repro.baselines.interfaces import (
+    DuplicateKeyError,
+    EmptyIndexError,
+    InvalidKeyError,
+)
 from repro.baselines.sorted_array import SortedArrayIndex
 from repro.core import ChameleonConfig, ChameleonIndex, IntervalLockManager
 
@@ -251,3 +257,37 @@ class TestWithLockManager:
         assert index.lookup(new_key) == new_key
         assert index.delete(new_key)
         assert index.counters.lock_acquisitions > 0
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestInvalidKeys:
+    """Non-finite keys fail at the API boundary with a typed error."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op", ["lookup", "insert", "delete", "peek"])
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+    def test_scalar_ops_reject(self, moderate_keys, op, bad, locked):
+        manager = IntervalLockManager() if locked else None
+        index = build(moderate_keys[:500], lock_manager=manager)
+        before = index.counters.snapshot()
+        with pytest.raises(InvalidKeyError):
+            getattr(index, op)(bad)
+        assert index.counters.snapshot() == before  # rejected before any work
+        assert len(index) == 500
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op", ["lookup_batch", "insert_batch", "delete_batch"])
+    @pytest.mark.parametrize("size", [3, 64], ids=["grouped", "fused"])
+    def test_batch_ops_reject_whole_batch(self, moderate_keys, op, bad, size):
+        index = build(moderate_keys[:500])
+        fresh = [float(k) + 0.5 for k in moderate_keys[:size]]
+        batch = fresh[:-1] + [bad]
+        with pytest.raises(InvalidKeyError):
+            getattr(index, op)(batch)
+        assert len(index) == 500
+        assert all(index.lookup(k) is None for k in fresh[:-1])
+
+    def test_is_a_value_error(self):
+        assert issubclass(InvalidKeyError, ValueError)

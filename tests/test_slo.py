@@ -118,6 +118,36 @@ class TestIndexWiring:
         assert tracker.observed["delete"] == 10
         assert tracker.quantile("lookup", 0.5) is not None
 
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+    def test_durable_delete_records_no_phantom_lookup(self, tmp_path, locked):
+        """DurableIndex's rollback peek is not a client lookup."""
+        from repro.core import IntervalLockManager
+        from repro.robustness.durability import DurableIndex
+
+        keys = [float(k) for k in face_like(600, seed=4)]
+        index = ChameleonIndex(
+            strategy="ChaB", lock_manager=IntervalLockManager() if locked else None
+        )
+        durable = DurableIndex(index, tmp_path, fsync="none")
+        durable.bulk_load(keys)
+        tracker = obs.arm_slo()
+        try:
+            with obs.armed() as (recorder, registry):
+                for k in keys[:100]:
+                    assert durable.delete(k)
+        finally:
+            obs.disarm_slo()
+            durable.close()
+        assert tracker.observed["delete"] == 100
+        assert tracker.observed["lookup"] == 0
+        assert tracker.snapshot()["lookup"]["window_ops"] == 0
+        names = [event[0] for event in recorder.events()]
+        assert names.count("index.delete") == 100
+        assert "index.lookup" not in names
+        # Lookups observe these; scalar deletes observe neither.
+        for metric in ("chameleon_probe_length_slots", "chameleon_descent_depth_levels"):
+            assert registry.histogram(metric).n_observed == 0
+
     def test_disarmed_index_observes_nothing(self):
         keys = face_like(800, seed=4)
         index = ChameleonIndex(strategy="ChaB")
