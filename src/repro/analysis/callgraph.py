@@ -17,7 +17,9 @@ Resolution proceeds in decreasing order of precision:
 3. ``self.method()`` / ``cls.method()`` / ``super().method()`` — methods
    of the enclosing class, walking base classes that resolve statically
    (same module or imported by name).
-4. ``ClassName()`` — constructor calls bind to ``ClassName.__init__``.
+4. ``ClassName()`` — constructor calls bind to ``ClassName.__init__``;
+   ``return ClassName(...)`` of a context-manager class also binds the
+   returning function to its ``__enter__``/``__exit__``.
 5. **Typed receivers** — ``x.method()`` resolves through a typed receiver
    table: parameter and return annotations, ``self`` attribute assignments
    in ``__init__`` (and class-level annotated fields), and local
@@ -745,6 +747,20 @@ class CallGraph:
 
             visit_With = _visit_with
             visit_AsyncWith = _visit_with
+
+            def visit_Return(self, node: ast.Return) -> None:
+                # A factory that returns a freshly built context-manager
+                # object stands for entering it: ``with mgr.query_lock()``
+                # runs the returned guard's __enter__/__exit__.
+                qname = self._current_qname()
+                if qname is not None and isinstance(node.value, ast.Call):
+                    t = graph._ctor_type(table, node.value.func)
+                    if t is not None:
+                        for method in ("__enter__", "__exit__"):
+                            found = graph._method_on_type(t, method)
+                            if found:
+                                graph.edges.setdefault(qname, set()).add(found)
+                self.generic_visit(node)
 
             def visit_Call(self, node: ast.Call) -> None:
                 caller = self._current_qname()

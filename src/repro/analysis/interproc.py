@@ -208,7 +208,10 @@ def _propagate(
     :data:`BLOCKING_EXEMPT_MODULES` never *receive* the fact — neither
     directly (handled in ``_direct_facts``) nor by propagation — so an
     exempt module is a wall, not merely a non-source: chains through the
-    fault injector or the durability wrapper stop at its boundary.
+    fault injector or the durability wrapper stop at its boundary. The
+    lock protocol's own context managers (:data:`LOCK_METHODS`) are a wall
+    too: the condition waits inside the guard they return are the
+    sanctioned blocking.
     """
     worklist = [q for q, s in table.summaries.items() if getattr(s, fact)]
     while worklist:
@@ -220,7 +223,9 @@ def _propagate(
                 continue  # already known: cycle-safe, each node flips once
             if honor_exemptions:
                 info = table.graph.functions.get(caller)
-                if info is not None and _module_exempt(info.module):
+                if info is not None and (
+                    _module_exempt(info.module) or info.name in LOCK_METHODS
+                ):
                     continue
             setattr(caller_summary, fact, True)
             setattr(

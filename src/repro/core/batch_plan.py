@@ -34,13 +34,13 @@ full-vector operations:
 The plan is a cache, not part of the structure: it is rebuilt lazily
 whenever the index's structure version changes (live-key count, update
 counter, retrains, splits, root identity), and keys that reach a missing
-(``None``) child fall back to the scalar per-key walk, which materialises
-the empty leaf exactly as :meth:`ChameleonIndex._descend` would. The
-write executors refresh the cached version themselves after applying a
-batch, so write-heavy phases reuse one plan too; a leaf whose storage was
-replaced mid-batch (rehash) is marked *detached* and served scalar until
-the next rebuild, and a mid-batch split leaves the version stale so the
-next batch rebuilds. Only the index's current plan may execute writes —
+(``None``) child continue with the index's own scalar descent from that
+slot (:meth:`ChameleonIndex._descend_lower`), which materialises the
+empty leaf. The write executors refresh the cached version themselves
+after applying a batch, so write-heavy phases reuse one plan too; a leaf
+whose storage was replaced mid-batch (rehash) is marked *detached* and
+served scalar until the next rebuild, and a mid-batch split leaves the
+version stale so the next batch rebuilds. Only the index's current plan may execute writes —
 building a new plan rebinds the leaves' storage onto the new store.
 
 Counter totals are identical to the scalar loop by construction; the
@@ -57,7 +57,6 @@ from ..analysis.contracts import declared_contract
 from ..baselines.interfaces import DuplicateKeyError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .builder import make_leaf
 from .node import InnerNode, LeafNode, Node
 
 if TYPE_CHECKING:
@@ -289,16 +288,9 @@ class BatchQueryPlan:
             # filled the slot since, otherwise materialise the empty leaf
             # exactly as the scalar descent does. Counting stays exact —
             # the fused loop already charged the hops down to this node.
-            parent = self.inners[int(hole_parent[i])]
-            rank = int(hole_rank[i])
-            child = parent.children[rank]
-            if child is None:
-                low, high = parent.child_interval(rank)
-                child = make_leaf(
-                    np.empty(0), [], low, high, index.config, counters
-                )
-                parent.children[rank] = child
-            out[i] = _lookup_from(index, child, float(karr[i]))
+            key = float(karr[i])
+            slot = (self.inners[int(hole_parent[i])], int(hole_rank[i]))
+            out[i] = index._descend_lower(key, [slot])[0].ebh.lookup(key)
         return out
 
     def _probe_leaves(
@@ -718,27 +710,19 @@ class BatchQueryPlan:
                     if p < 0:
                         # A root leaf became a subtree: full re-descent,
                         # whose pre-charged depth was zero.
-                        index._insert_locked(key, value)
+                        index._insert_locked(key, value, [])
                     else:
                         hops += depth_l[j]
                         evals += depth_l[j]
-                        _insert_continue(
-                            index,
-                            self.inners[p],
-                            int(self.leaf_rank[lid]),
-                            key,
-                            value,
+                        index._insert_locked(
+                            key, value, [(self.inners[p], int(self.leaf_rank[lid]))]
                         )
                     continue
                 # Plan hole: charged continuation from the live pointer.
                 hops += depth_l[j]
                 evals += depth_l[j]
-                _insert_continue(
-                    index,
-                    self.inners[int(hole_parent[j])],
-                    int(hole_rank[j]),
-                    key,
-                    value,
+                index._insert_locked(
+                    key, value, [(self.inners[int(hole_parent[j])], int(hole_rank[j]))]
                 )
         finally:
             counters.node_hops += hops
@@ -822,96 +806,14 @@ class BatchQueryPlan:
                         leaves[lid].update_count += rem
                     removed_total += int(found.sum())
             for i in np.flatnonzero(cur == _HOLE).tolist():
-                parent = self.inners[int(hole_parent[i])]
-                if _delete_from(index, parent, int(hole_rank[i]), float(karr[i])):
+                slot = (self.inners[int(hole_parent[i])], int(hole_rank[i]))
+                if index._delete_locked(float(karr[i]), [slot]):
                     out[i] = True
             if removed_total:
                 index._n -= removed_total
                 index.updates_since_build += removed_total
             self.version = index._plan_version()
             return out.tolist()
-
-
-def _lookup_from(index: "ChameleonIndex", node: Node, key: float) -> Any | None:
-    """Scalar continuation below a re-read child pointer.
-
-    Identical accounting to the tail of :meth:`ChameleonIndex._descend`
-    followed by the EBH probe — used for plan holes, where the live slot
-    may meanwhile hold anything from ``None`` to a whole subtree.
-    """
-    counters = index.counters
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        rank = node.route(key)
-        child = node.children[rank]
-        if child is None:
-            low, high = node.child_interval(rank)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[rank] = child
-        node = child
-    return node.ebh.lookup(key)
-
-
-def _insert_continue(
-    index: "ChameleonIndex",
-    parent: InnerNode,
-    rank: int,
-    key: float,
-    value: Any,
-) -> None:
-    """Scalar insert continuation below a re-read child pointer.
-
-    The fused descent already pre-charged the hops down to ``parent``
-    (and their model evaluations), so only the live subtree below the
-    slot is walked — and charged — here, ending in the shared
-    post-descent insert logic. Used for plan holes and for slots a
-    mid-batch split replaced.
-    """
-    counters = index.counters
-    node = parent.children[rank]
-    if node is None:
-        low, high = parent.child_interval(rank)
-        node = make_leaf(np.empty(0), [], low, high, index.config, counters)
-        parent.children[rank] = node
-    path: list[tuple[InnerNode, int]] = [(parent, rank)]
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        r = node.route(key)
-        path.append((node, r))
-        child = node.children[r]
-        if child is None:
-            low, high = node.child_interval(r)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[r] = child
-        node = child
-    index._insert_at_leaf(key, value, node, path)
-
-
-def _delete_from(
-    index: "ChameleonIndex", parent: InnerNode, rank: int, key: float
-) -> bool:
-    """Scalar delete continuation below a plan hole (self-accounting)."""
-    counters = index.counters
-    node = parent.children[rank]
-    if node is None:
-        low, high = parent.child_interval(rank)
-        node = make_leaf(np.empty(0), [], low, high, index.config, counters)
-        parent.children[rank] = node
-    while isinstance(node, InnerNode):
-        counters.node_hops += 1
-        r = node.route(key)
-        child = node.children[r]
-        if child is None:
-            low, high = node.child_interval(r)
-            child = make_leaf(np.empty(0), [], low, high, index.config, counters)
-            node.children[r] = child
-        node = child
-    removed = node.ebh.delete(key)
-    if removed:
-        node.update_count += 1
-        index._n -= 1
-        index.updates_since_build += 1
-    return removed
 
 
 def build_plan(root: Node, version: tuple[int, ...]) -> BatchQueryPlan:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +50,8 @@ _FUSED_MIN = 32
 #: ``(None, 0)`` when the root itself is the leaf.
 _BatchVisit = Callable[[LeafNode, np.ndarray, "InnerNode | None", int], None]
 
+_R = TypeVar("_R")
+
 
 def _finite_key(key: Key) -> float:
     """``key`` as a float, rejecting NaN and infinities with a typed error."""
@@ -65,6 +67,32 @@ def _finite_keys(keys: "Sequence[Key] | np.ndarray") -> np.ndarray:
     if not np.isfinite(karr).all():
         raise InvalidKeyError("batch contains a non-finite key")
     return karr
+
+
+def _slot_path(last: "tuple[InnerNode, int] | None") -> list[tuple[InnerNode, int]]:
+    """A fresh descent path ending at slot ``last`` ([] for the root)."""
+    return [] if last is None else [last]
+
+
+def _timed(kind: str, name: str, op: Callable[..., _R], *args: Any) -> _R:
+    """``op(*args)`` under one clock pair, for an armed trace or SLO tracker.
+
+    The one duration feeds both the ``name`` trace event (recorded even
+    when ``op`` raises, as a span would be) and the ``kind`` SLO sample
+    (successful operations only).
+    """
+    slo = obs_slo.ACTIVE
+    rec = obs_trace.ACTIVE
+    t0 = time.monotonic_ns()
+    try:
+        result = op(*args)
+    finally:
+        t1 = time.monotonic_ns()
+        if rec is not None:
+            rec.record(name, "X", t0, t1 - t0)
+    if slo is not None:
+        slo.observe(kind, t1 - t0, t1)
+    return result
 
 
 class ChameleonIndex(BaseIndex):
@@ -130,37 +158,28 @@ class ChameleonIndex(BaseIndex):
     # -- point operations ------------------------------------------------------------
 
     def lookup(self, key: Key) -> Value | None:
-        # SLO timing brackets the whole operation (span + locks included);
-        # disarmed cost is one attribute load and a pointer comparison.
-        slo = obs_slo.ACTIVE
-        t0 = time.monotonic_ns() if slo is not None else 0
-        result = self._lookup_op(_finite_key(key))
-        if slo is not None:
-            slo.observe("lookup", time.monotonic_ns() - t0)
-        return result
+        key_f = _finite_key(key)
+        if obs_slo.ACTIVE is None and obs_trace.ACTIVE is None:
+            return self._lookup_op(key_f)
+        return _timed("lookup", "index.lookup", self._lookup_op, key_f)
 
     def _lookup_op(self, key_f: float) -> Value | None:
-        with obs_trace.span("index.lookup"):
-            if self.lock_manager is None:
-                leaf, path, _ = self._descend(key_f)
-                if obs_metrics.ACTIVE is not None:
-                    obs_metrics.ACTIVE.observe(
-                        "chameleon_descent_depth_levels", len(path)
-                    )
-                return leaf.ebh.lookup(key_f)
-            # Faithful protocol: descend the (immutable) upper h-1 levels
-            # once, acquire the interval's query lock, then continue below
-            # the lock boundary — the retrainer may only swap subtrees
-            # under it.
-            ids, path = self._descend_upper(key_f)
-            with self.lock_manager.query_lock(ids, self.counters):
-                self.lock_manager.assert_interval_locked(ids, where="lookup")
-                leaf, full_path = self._descend_lower(key_f, path)
-                if obs_metrics.ACTIVE is not None:
-                    obs_metrics.ACTIVE.observe(
-                        "chameleon_descent_depth_levels", len(full_path)
-                    )
-                return leaf.ebh.lookup(key_f)
+        if self.lock_manager is None:
+            leaf, path = self._descend_lower(key_f, [])
+            if obs_metrics.ACTIVE is not None:
+                obs_metrics.ACTIVE.observe("chameleon_descent_depth_levels", len(path))
+            return leaf.ebh.lookup(key_f)
+        # Faithful protocol: descend the (immutable) upper h-1 levels
+        # once, acquire the interval's query lock, then continue below
+        # the lock boundary — the retrainer may only swap subtrees
+        # under it.
+        ids, path = self._descend_upper(key_f)
+        with self.lock_manager.query_lock(ids, self.counters):
+            self.lock_manager.assert_interval_locked(ids, where="lookup")
+            leaf, path = self._descend_lower(key_f, path)
+            if obs_metrics.ACTIVE is not None:
+                obs_metrics.ACTIVE.observe("chameleon_descent_depth_levels", len(path))
+            return leaf.ebh.lookup(key_f)
 
     def peek(self, key: Key) -> Value | None:
         """:meth:`lookup` without telemetry: no span, SLO sample or metric.
@@ -170,7 +189,7 @@ class ChameleonIndex(BaseIndex):
         """
         key_f = _finite_key(key)
         if self.lock_manager is None:
-            return self._descend(key_f)[0].ebh.peek(key_f)
+            return self._descend_lower(key_f, [])[0].ebh.peek(key_f)
         ids, path = self._descend_upper(key_f)
         with self.lock_manager.query_lock(ids, self.counters):
             self.lock_manager.assert_interval_locked(ids, where="peek")
@@ -181,29 +200,35 @@ class ChameleonIndex(BaseIndex):
         if self._root is None:
             raise EmptyIndexError("bulk_load before inserting")
         stored = key_f if value is None else value
-        slo = obs_slo.ACTIVE
-        t0 = time.monotonic_ns() if slo is not None else 0
-        self._insert_op(key_f, stored)
-        if slo is not None:
-            slo.observe("insert", time.monotonic_ns() - t0)
+        if obs_slo.ACTIVE is None and obs_trace.ACTIVE is None:
+            self._insert_op(key_f, stored)
+        else:
+            _timed("insert", "index.insert", self._insert_op, key_f, stored)
 
     def _insert_op(self, key_f: float, stored: Value) -> None:
-        with obs_trace.span("index.insert"):
-            if self.lock_manager is None:
-                self._insert_locked(key_f, stored)
-                return
-            ids, _ = self._descend_upper(key_f)
-            with self.lock_manager.query_lock(ids, self.counters):
-                self.lock_manager.assert_interval_locked(ids, where="insert")
-                self._insert_locked(key_f, stored)
+        if self.lock_manager is None:
+            self._insert_locked(key_f, stored, [])
+            return
+        ids, path = self._descend_upper(key_f)
+        with self.lock_manager.query_lock(ids, self.counters):
+            self.lock_manager.assert_interval_locked(ids, where="insert")
+            self._insert_locked(key_f, stored, path)
 
-    def _insert_locked(self, key: Key, value: Value) -> None:
+    def _insert_locked(
+        self, key: Key, value: Value, path: list[tuple[InnerNode, int]]
+    ) -> None:
+        """Insert ``key``, descending on from ``path`` ([] starts at the root).
+
+        ``path`` is the already-charged walk down to a slot — the upper
+        levels under a query lock, or a batch group's boundary — and is
+        extended in place by the lower descent.
+        """
         # Fault point before any mutation: an injected raise aborts the
         # insert cleanly (the key simply is not stored). SKIP is ignored
         # here — silently dropping a write would corrupt callers' oracles.
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("ebh.insert", self.counters)
-        leaf, path, _ = self._descend(key)
+        leaf, path = self._descend_lower(key, path)
         self._insert_at_leaf(key, value, leaf, path)
 
     def _insert_at_leaf(
@@ -234,7 +259,7 @@ class ChameleonIndex(BaseIndex):
             if ebh.n_keys + 1 > self.config.leaf_split_keys:
                 if self._split_leaf(leaf, path):
                     split_done = True
-                    leaf, path, _ = self._descend(key)
+                    leaf, path = self._descend_lower(key, [])
                     ebh = leaf.ebh
             if (ebh.n_keys + 1) / ebh.capacity > self.config.max_leaf_load:
                 # Fault point before the rehash: raising here leaves the
@@ -257,24 +282,21 @@ class ChameleonIndex(BaseIndex):
         key_f = _finite_key(key)
         if self._root is None:
             return False
-        slo = obs_slo.ACTIVE
-        t0 = time.monotonic_ns() if slo is not None else 0
-        removed = self._delete_op(key_f)
-        if slo is not None:
-            slo.observe("delete", time.monotonic_ns() - t0)
-        return removed
+        if obs_slo.ACTIVE is None and obs_trace.ACTIVE is None:
+            return self._delete_op(key_f)
+        return _timed("delete", "index.delete", self._delete_op, key_f)
 
     def _delete_op(self, key_f: float) -> bool:
-        with obs_trace.span("index.delete"):
-            if self.lock_manager is None:
-                return self._delete_locked(key_f)
-            ids, _ = self._descend_upper(key_f)
-            with self.lock_manager.query_lock(ids, self.counters):
-                self.lock_manager.assert_interval_locked(ids, where="delete")
-                return self._delete_locked(key_f)
+        if self.lock_manager is None:
+            return self._delete_locked(key_f, [])
+        ids, path = self._descend_upper(key_f)
+        with self.lock_manager.query_lock(ids, self.counters):
+            self.lock_manager.assert_interval_locked(ids, where="delete")
+            return self._delete_locked(key_f, path)
 
-    def _delete_locked(self, key: Key) -> bool:
-        leaf, _, _ = self._descend(key)
+    def _delete_locked(self, key: Key, path: list[tuple[InnerNode, int]]) -> bool:
+        """Delete ``key``, descending on from ``path`` (see :meth:`_insert_locked`)."""
+        leaf, _ = self._descend_lower(key, path)
         removed = leaf.ebh.delete(key)
         if removed:
             leaf.update_count += 1
@@ -306,15 +328,14 @@ class ChameleonIndex(BaseIndex):
                 if m >= _FUSED_MIN:
                     return self._current_plan().lookup(self, karr)
                 self._descend_batch(
-                    self._root, karr, np.arange(m), self._batch_leaf_lookup(karr, out)
+                    None, karr, np.arange(m), self._batch_leaf_lookup(karr, out)
                 )
                 return out
             for ids, last, idx in self._group_upper(karr, np.arange(m)):
                 with self.lock_manager.query_lock(ids, self.counters):
                     self.lock_manager.assert_interval_locked(ids, where="lookup_batch")
-                    start = self._reread_boundary(last)
                     self._descend_batch(
-                        start, karr, idx, self._batch_leaf_lookup(karr, out)
+                        last, karr, idx, self._batch_leaf_lookup(karr, out)
                     )
             return out
 
@@ -354,39 +375,40 @@ class ChameleonIndex(BaseIndex):
             if faults.ACTIVE is not None:
                 if self.lock_manager is None:
                     for i, k in enumerate(karr.tolist()):
-                        self._insert_locked(k, k if vals is None else vals[i])
+                        self._insert_locked(k, k if vals is None else vals[i], [])
                     return
-                for ids, _, idx in self._group_upper(karr, np.arange(karr.size)):
+                for ids, last, idx in self._group_upper(karr, np.arange(karr.size)):
                     with self.lock_manager.query_lock(ids, self.counters):
                         self.lock_manager.assert_interval_locked(
                             ids, where="insert_batch"
                         )
                         for i in idx.tolist():
                             k = float(karr[i])
-                            self._insert_locked(k, k if vals is None else vals[i])
+                            self._insert_locked(
+                                k, k if vals is None else vals[i], _slot_path(last)
+                            )
                 return
             if self.lock_manager is None:
                 if karr.size >= _FUSED_MIN:
                     self._current_plan().insert(self, karr, vals)
                     return
                 for i, k in enumerate(karr.tolist()):
-                    self._insert_locked(k, k if vals is None else vals[i])
+                    self._insert_locked(k, k if vals is None else vals[i], [])
                 return
-            for ids, _, idx in self._group_upper(karr, np.arange(karr.size)):
+            for ids, last, idx in self._group_upper(karr, np.arange(karr.size)):
                 with self.lock_manager.query_lock(ids, self.counters):
                     self.lock_manager.assert_interval_locked(ids, where="insert_batch")
-                    # _insert_locked descends from the root; the grouped
-                    # path replicates that accounting for hop equivalence.
                     self._descend_batch(
-                        self._root, karr, idx, self._insert_leaf_group(karr, vals)
+                        last, karr, idx, self._insert_leaf_group(karr, vals, last)
                     )
 
     def delete_batch(self, keys: "Sequence[Key] | np.ndarray") -> list[bool]:
         """Grouped vectorised delete; flags aligned positionally with ``keys``.
 
-        Mirrors the scalar protocol exactly: the full descent is counted
-        from the root (as :meth:`_delete_locked` does) and EBH probe totals
-        match the one-at-a-time stream, with locks amortised per interval.
+        Mirrors the scalar protocol exactly: the upper walk and the descent
+        below each interval's boundary count the same hops as the scalar
+        descent, and EBH probe totals match the one-at-a-time stream, with
+        locks amortised per interval.
         """
         karr = _finite_keys(keys)
         m = karr.size
@@ -402,16 +424,14 @@ class ChameleonIndex(BaseIndex):
                     # second occurrence must observe the first one's clear.
                     return self._current_plan().delete(self, karr)
                 self._descend_batch(
-                    self._root, karr, np.arange(m), self._batch_leaf_delete(karr, out)
+                    None, karr, np.arange(m), self._batch_leaf_delete(karr, out)
                 )
                 return out
-            for ids, _, idx in self._group_upper(karr, np.arange(m)):
+            for ids, last, idx in self._group_upper(karr, np.arange(m)):
                 with self.lock_manager.query_lock(ids, self.counters):
                     self.lock_manager.assert_interval_locked(ids, where="delete_batch")
-                    # _delete_locked descends from the root; the batch path
-                    # replicates that accounting for hop/eval equivalence.
                     self._descend_batch(
-                        self._root, karr, idx, self._batch_leaf_delete(karr, out)
+                        last, karr, idx, self._batch_leaf_delete(karr, out)
                     )
             return out
 
@@ -452,7 +472,10 @@ class ChameleonIndex(BaseIndex):
         return visit
 
     def _insert_leaf_group(
-        self, karr: np.ndarray, vals: "list[Value] | None"
+        self,
+        karr: np.ndarray,
+        vals: "list[Value] | None",
+        last: tuple[InnerNode, int] | None,
     ) -> "_BatchVisit":
         """Per-leaf fused insert for the grouped (lock-manager) batch path.
 
@@ -460,8 +483,10 @@ class ChameleonIndex(BaseIndex):
         through the fused EBH insert, and every load-trigger key replays
         the scalar maintenance (split attempt, rehash) via
         :meth:`_insert_at_leaf`. A successful split re-descends the
-        remaining keys from the root one at a time — exactly the scalar
-        accounting — because the grouped routing is stale after the swap.
+        remaining keys one at a time from the group's boundary slot
+        ``last`` — exactly the scalar accounting, whose upper walk the
+        group already charged — because the grouped routing is stale after
+        the swap.
         """
 
         def visit(
@@ -510,12 +535,12 @@ class ChameleonIndex(BaseIndex):
                     pos += 1
                     if split_done:
                         # Topology changed under this group: the remaining
-                        # keys re-descend from the root, as the scalar
+                        # keys re-descend from the boundary, as the scalar
                         # stream would after the swap.
                         for j in idx_list[pos:]:
                             kj = float(karr[j])
                             self._insert_locked(
-                                kj, kj if vals is None else vals[j]
+                                kj, kj if vals is None else vals[j], _slot_path(last)
                             )
                         return
                     path = [] if parent is None else [(parent, rank)]
@@ -524,21 +549,24 @@ class ChameleonIndex(BaseIndex):
 
     def _descend_batch(
         self,
-        start: Node,
+        last: tuple[InnerNode, int] | None,
         karr: np.ndarray,
         idx: np.ndarray,
         visit: "_BatchVisit",
     ) -> None:
-        """Route ``karr[idx]`` down from ``start``; call ``visit`` per leaf.
+        """Route ``karr[idx]`` down from slot ``last``; call ``visit`` per leaf.
 
-        Structural accounting matches the scalar walk: one node hop and one
-        model evaluation per key per inner node on its path, with ``None``
-        children materialised on demand exactly as :meth:`_descend` does.
-        Each visit also receives the leaf's ``(parent, rank)`` slot (None
-        for a root leaf) so write visitors can split in place.
+        ``last`` is the ``(parent, rank)`` slot to start below, re-read as
+        :meth:`_reread_boundary` does (None starts at the root). Structural
+        accounting matches the scalar walk: one node hop and one model
+        evaluation per key per inner node on its path, with ``None``
+        children materialised on demand exactly as :meth:`_descend_lower`
+        does. Each visit also receives the leaf's ``(parent, rank)`` slot
+        (None for a root leaf) so write visitors can split in place.
         """
+        parent0, rank0 = (None, 0) if last is None else last
         stack: list[tuple[Node, np.ndarray, InnerNode | None, int]] = [
-            (start, idx, None, 0)
+            (self._reread_boundary(last), idx, parent0, rank0)
         ]
         while stack:
             node, sub, parent, rank = stack.pop()
@@ -599,15 +627,16 @@ class ChameleonIndex(BaseIndex):
         return results
 
     def _reread_boundary(self, last: tuple[InnerNode, int] | None) -> Node:
-        """Re-read a boundary child under its lock (see :meth:`_descend_lower`).
+        """Re-read a boundary child under its lock (None: the root).
 
         The retrainer may have swapped the subtree between the unlocked
         upper walk and lock acquisition, so the pointer is read again here;
         an interval that never received keys is materialised as an empty
-        leaf, exactly as the scalar path does.
+        leaf.
         """
         if last is None:
-            assert self._root is not None
+            if self._root is None:
+                raise EmptyIndexError("index is empty; bulk_load first")
             return self._root
         parent, rank = last
         node = parent.children[rank]
@@ -948,36 +977,6 @@ class ChameleonIndex(BaseIndex):
 
     # -- internals ---------------------------------------------------------------------
 
-    def _descend(
-        self, key: Key
-    ) -> tuple[LeafNode, list[tuple[InnerNode, int]], tuple[int, ...]]:
-        """Walk to the leaf for ``key``.
-
-        Returns ``(leaf, path, ids)`` where path is the (parent, rank) chain
-        and ids is the path truncated at the h-th-level lock boundary.
-        """
-        if self._root is None:
-            raise EmptyIndexError("index is empty; bulk_load first")
-        node = self._root
-        path: list[tuple[InnerNode, int]] = []
-        ranks: list[int] = []
-        while isinstance(node, InnerNode):
-            self.counters.node_hops += 1
-            rank = node.route(key)
-            path.append((node, rank))
-            ranks.append(rank)
-            child = node.children[rank]
-            if child is None:
-                # Materialise an empty leaf on demand (interval had no keys).
-                low, high = node.child_interval(rank)
-                child = make_leaf(
-                    np.empty(0), [], low, high, self.config, self.counters
-                )
-                node.children[rank] = child
-            node = child
-        ids = tuple(ranks[: max(1, self.config.h - 1)])
-        return node, path, ids
-
     def _descend_upper(
         self, key: Key
     ) -> tuple[tuple[int, ...], list[tuple[InnerNode, int]]]:
@@ -1001,25 +1000,17 @@ class ChameleonIndex(BaseIndex):
         return tuple(ranks), path
 
     def _descend_lower(
-        self, key: Key, upper_path: list[tuple[InnerNode, int]]
+        self, key: Key, path: list[tuple[InnerNode, int]]
     ) -> tuple[LeafNode, list[tuple[InnerNode, int]]]:
-        """Continue from the lock boundary to the leaf (under the lock).
+        """Continue from ``path``'s last slot to the leaf; [] starts at the root.
 
-        Re-reads the boundary child pointer, because the retrainer may have
-        swapped the subtree between the upper walk and lock acquisition.
+        Under a query lock ``path`` is :meth:`_descend_upper`'s walk, so
+        the boundary child pointer is re-read (the retrainer may have
+        swapped the subtree before the lock was taken). Only the levels
+        below that slot are walked and charged; ``path`` is extended in
+        place and returned with the leaf.
         """
-        path = list(upper_path)
-        if path:
-            parent, rank = path[-1]
-            node: Node | None = parent.children[rank]
-            if node is None:
-                low, high = parent.child_interval(rank)
-                node = make_leaf(
-                    np.empty(0), [], low, high, self.config, self.counters
-                )
-                parent.children[rank] = node
-        else:
-            node = self._root
+        node = self._reread_boundary(path[-1] if path else None)
         while isinstance(node, InnerNode):
             self.counters.node_hops += 1
             rank = node.route(key)

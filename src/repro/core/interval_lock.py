@@ -150,12 +150,77 @@ class RaceDetector:
 class _IntervalState:
     """Reader/writer state for one interval."""
 
-    __slots__ = ("readers", "retraining", "condition")
+    __slots__ = ("readers", "retraining", "retrain_waiters", "condition", "label")
 
-    def __init__(self, mutex: threading.Lock) -> None:
+    def __init__(self, mutex: threading.Lock, ids: IntervalIds) -> None:
         self.readers = 0
         self.retraining = False
+        #: Retrainers inside :meth:`IntervalLockManager.retrain_lock`'s wait
+        #: loop; a reader release only notifies when one is there to wake.
+        self.retrain_waiters = 0
         self.condition = threading.Condition(mutex)
+        #: ``str(ids)`` for span and event attributes, built once.
+        self.label = str(ids)
+
+
+class _QueryGuard:
+    """One shared Query-Lock acquisition (see :meth:`IntervalLockManager.query_lock`).
+
+    A plain slotted context manager: entering and leaving it runs no
+    generator frame, and disarmed it allocates nothing but the guard.
+    """
+
+    __slots__ = ("_manager", "_ids", "_counters", "_state", "_rec", "_t_acq", "_waited")
+
+    def __init__(
+        self, manager: "IntervalLockManager", ids: IntervalIds, counters: Counters | None
+    ) -> None:
+        self._manager = manager
+        self._ids = ids
+        self._counters = counters
+
+    def __enter__(self) -> None:
+        manager = self._manager
+        # Sinks are read once per acquisition; the disarmed path pays two
+        # module-attribute loads and no clock reads.
+        rec = self._rec = obs_trace.ACTIVE
+        mreg = obs_metrics.ACTIVE
+        armed = rec is not None or mreg is not None
+        t_enter = time.monotonic_ns() if armed else 0
+        waited = False
+        with manager._mutex:
+            state = manager._state(self._ids)
+            while state.retraining:
+                waited = True
+                state.condition.wait()
+            state.readers += 1
+        self._state = state
+        self._waited = waited
+        t_acq = self._t_acq = time.monotonic_ns() if armed else 0
+        if waited and mreg is not None:
+            mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
+        counters = self._counters
+        if counters is not None:
+            counters.lock_acquisitions += 1
+            if waited:
+                counters.lock_waits += 1
+        if manager._debug:
+            manager._on_acquired(self._ids, "query")
+
+    def __exit__(self, *exc: object) -> bool:
+        manager = self._manager
+        state = self._state
+        if manager._debug:
+            manager._on_released(self._ids, "query")
+        if self._rec is not None:
+            self._rec.complete(
+                "lock.query", self._t_acq, {"interval": state.label, "waited": self._waited}
+            )
+        with manager._mutex:
+            state.readers -= 1
+            if state.readers == 0 and state.retrain_waiters:
+                state.condition.notify_all()
+        return False
 
 
 class IntervalLockManager:
@@ -185,55 +250,22 @@ class IntervalLockManager:
         return self._debug
 
     def _state(self, ids: IntervalIds) -> _IntervalState:
+        """The interval's state, created on first use (caller holds the mutex)."""
         state = self._states.get(ids)
         if state is None:
-            state = _IntervalState(self._mutex)
+            state = _IntervalState(self._mutex, ids)
             self._states[ids] = state
         return state
 
-    @contextmanager
     def query_lock(
         self, ids: IntervalIds, counters: Counters | None = None
-    ) -> Iterator[None]:
-        """Shared Query-Lock on an interval.
+    ) -> _QueryGuard:
+        """Shared Query-Lock on an interval, taken on ``with`` entry.
 
         Blocks only while the same interval is being retrained; concurrent
         queries on the interval (and everything on other intervals) pass.
         """
-        ids = tuple(ids)
-        # Sinks are read once per acquisition; the disarmed path pays two
-        # module-attribute loads and no clock reads or allocations.
-        rec = obs_trace.ACTIVE
-        mreg = obs_metrics.ACTIVE
-        armed = rec is not None or mreg is not None
-        t_enter = time.monotonic_ns() if armed else 0
-        with self._mutex:
-            state = self._state(ids)
-            waited = False
-            while state.retraining:
-                waited = True
-                state.condition.wait()
-            state.readers += 1
-        t_acq = time.monotonic_ns() if armed else 0
-        if mreg is not None and waited:
-            mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
-        if counters is not None:
-            counters.lock_acquisitions += 1
-            if waited:
-                counters.lock_waits += 1
-        if self._debug:
-            self._on_acquired(ids, "query")
-        try:
-            yield
-        finally:
-            if self._debug:
-                self._on_released(ids, "query")
-            if rec is not None:
-                rec.complete("lock.query", t_acq, {"interval": str(ids), "waited": waited})
-            with self._mutex:
-                state.readers -= 1
-                if state.readers == 0:
-                    state.condition.notify_all()
+        return _QueryGuard(self, tuple(ids), counters)
 
     @contextmanager
     def retrain_lock(
@@ -249,11 +281,11 @@ class IntervalLockManager:
         timeout, in which case the caller must skip the retrain.
 
         ``timeout`` is a *deadline* on total blocking, not a per-wait
-        budget: every reader release notifies the condition, so a per-wait
-        timeout would restart the clock on each wakeup and a stream of
-        short queries could block the retrainer indefinitely. The wait loop
-        therefore recomputes the remaining time against a
-        ``time.monotonic()`` deadline.
+        budget: while a retrainer waits, every last-reader release notifies
+        the condition, so a per-wait timeout would restart the clock on each
+        wakeup and a stream of short queries could block the retrainer
+        indefinitely. The wait loop therefore recomputes the remaining time
+        against a ``time.monotonic()`` deadline.
         """
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("interval_lock.retrain", counters)
@@ -267,28 +299,32 @@ class IntervalLockManager:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._mutex:
             state = self._state(ids)
-            while state.retraining or state.readers > 0:
-                waited = True
-                if deadline is None:
-                    state.condition.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0 or not state.condition.wait(timeout=remaining):
-                    break
-            else:
-                state.retraining = True
-                acquired = True
+            state.retrain_waiters += 1
+            try:
+                while state.retraining or state.readers > 0:
+                    waited = True
+                    if deadline is None:
+                        state.condition.wait()
+                        continue
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0 or not state.condition.wait(timeout=remaining):
+                        break
+                else:
+                    state.retraining = True
+                    acquired = True
+            finally:
+                state.retrain_waiters -= 1
         t_acq = time.monotonic_ns() if armed else 0
         if acquired:
             if mreg is not None and waited:
                 mreg.observe("chameleon_lock_wait_seconds", (t_acq - t_enter) / 1e9)
         elif rec is not None:
-            rec.event("lock.retrain_timeout", {"interval": str(ids)})
+            rec.event("lock.retrain_timeout", {"interval": state.label})
         if not acquired and obs_flight.ACTIVE is not None:
             # Anomaly: a retrain could not drain its readers in time. The
             # trigger rides after the trace event so the bundle's ring
             # already contains it; dedupe/suppression happens inside.
-            obs_flight.ACTIVE.trigger("lock_timeout", {"interval": str(ids)})
+            obs_flight.ACTIVE.trigger("lock_timeout", {"interval": state.label})
         if counters is not None:
             counters.lock_acquisitions += 1
             if waited:
@@ -303,7 +339,7 @@ class IntervalLockManager:
                     self._on_released(ids, "retrain")
                 if rec is not None:
                     rec.complete(
-                        "lock.retrain", t_acq, {"interval": str(ids), "waited": waited}
+                        "lock.retrain", t_acq, {"interval": state.label, "waited": waited}
                     )
                 with self._mutex:
                     state.retraining = False

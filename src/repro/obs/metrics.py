@@ -195,17 +195,21 @@ class MetricsRegistry:
 
     # -- one-call observation shorthands ------------------------------------
 
+    # An existing instrument is found with one lock-free ``dict.get`` (the
+    # dicts only ever gain entries, under the mutex); only creating one
+    # takes the registry mutex.
+
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
+        (self._counters.get(name) or self.counter(name)).inc(amount)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        (self._gauges.get(name) or self.gauge(name)).set(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
+        (self._histograms.get(name) or self.histogram(name)).observe(value)
 
     def observe_many(self, name: str, values: Iterable[float]) -> None:
-        self.histogram(name).observe_many(values)
+        (self._histograms.get(name) or self.histogram(name)).observe_many(values)
 
     # -- exposition ----------------------------------------------------------
 

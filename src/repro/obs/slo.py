@@ -113,10 +113,16 @@ class SloTracker:
     # -- recording -----------------------------------------------------------
 
     @declared_contract("no_raise")
-    def observe(self, kind: str, dur_ns: int) -> None:
-        """Record one operation latency (nanoseconds). Never raises."""
+    def observe(self, kind: str, dur_ns: int, end_ns: int | None = None) -> None:
+        """Record one operation latency (nanoseconds). Never raises.
+
+        ``end_ns`` is the operation's end on the ``time.monotonic_ns``
+        clock when the caller already read it; it picks the window, so the
+        sample costs no clock read of its own.
+        """
         try:
-            now_index = (time.monotonic_ns() - self._t0_ns) // self._window_ns
+            now = time.monotonic_ns() if end_ns is None else end_ns
+            now_index = (now - self._t0_ns) // self._window_ns
             seconds = dur_ns / 1e9
             bucket = bisect_left(self.bounds, seconds)
             with self._mutex:

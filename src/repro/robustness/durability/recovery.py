@@ -92,23 +92,44 @@ def apply_record(index: BaseIndex, record: wal_mod.WALRecord) -> bool:
         return True
     if record.op == wal_mod.OP_INSERT_BATCH:
         keys, values = record.payload
-        mutated = False
-        for i, key in enumerate(keys):  # type: ignore[arg-type]
-            try:
-                index.insert(
-                    float(key), None if values is None else values[i]
-                )
-            except DuplicateKeyError:
-                continue
-            mutated = True
-        return mutated
+        return _replay_insert_batch(index, keys, values)  # type: ignore[arg-type]
     if record.op == wal_mod.OP_DELETE_BATCH:
         (keys,) = record.payload
-        mutated = False
-        for key in keys:  # type: ignore[attr-defined]
-            mutated |= index.delete(float(key))
-        return mutated
+        return any(index.delete_batch(keys))  # type: ignore[arg-type]
     raise wal_mod.WALError(f"unknown WAL op {record.op} at lsn {record.lsn}")
+
+
+def _replay_insert_batch(
+    index: BaseIndex, keys: list[float], values: list[object] | None
+) -> bool:
+    """Replay one INSERT_BATCH frame with one batch lookup and one batch insert.
+
+    Idempotent like the per-key loop it replaces: keys already present
+    (and repeats of a key within the frame) are skipped, the rest land
+    in frame order with their logged values. Should the batch insert
+    still meet a present key (one stored with a ``None`` value reads as
+    absent), the frame falls back to the per-key loop, which skips it.
+    """
+    key_list = [float(k) for k in keys]
+    seen: set[float] = set()
+    fresh: list[int] = []
+    for i, found in enumerate(index.lookup_batch(key_list)):
+        if found is None and key_list[i] not in seen:
+            seen.add(key_list[i])
+            fresh.append(i)
+    if not fresh:
+        return False
+    fresh_keys = [key_list[i] for i in fresh]
+    fresh_values = None if values is None else [values[i] for i in fresh]
+    try:
+        index.insert_batch(fresh_keys, fresh_values)
+    except DuplicateKeyError:
+        for i, key in enumerate(fresh_keys):
+            try:
+                index.insert(key, None if fresh_values is None else fresh_values[i])
+            except DuplicateKeyError:
+                continue
+    return True
 
 
 class RecoveryManager:

@@ -461,6 +461,39 @@ class TestSummaries:
             "m.Mgr.query_lock"
         )
 
+    def test_returned_guard_runs_enter_and_exit(self):
+        # A factory returning a context-manager object is entered by its
+        # caller's ``with``: the guard's effects belong to the factory,
+        # and a lock method's guard still blocks only inside the protocol.
+        ctx = project(
+            (
+                "m.py",
+                "class Guard:\n"
+                "    def __init__(self, counters):\n"
+                "        self.counters = counters\n"
+                "    def __enter__(self):\n"
+                "        self.cond.wait()\n"
+                "        self.counters.lock_acquisitions += 1\n"
+                "    def __exit__(self, *exc):\n"
+                "        return False\n"
+                "class Mgr:\n"
+                "    def query_lock(self, ids, counters):\n"
+                "        return Guard(counters)\n"
+                "def lookup(mgr, counters):\n"
+                "    with mgr.query_lock((0,), counters):\n"
+                "        pass\n",
+                "m",
+            )
+        )
+        graph = ctx.callgraph()
+        assert {"m.Guard.__enter__", "m.Guard.__exit__"} <= graph.callees_of(
+            "m.Mgr.query_lock"
+        )
+        table = compute_summaries(graph)
+        assert table.mutates_counters("m.Mgr.query_lock")
+        assert table.may_block("m.Guard.__enter__")
+        assert not table.may_block("m.Mgr.query_lock")
+
 
 class TestRealProject:
     @pytest.fixture(scope="class")

@@ -11,7 +11,7 @@ import shutil
 import pytest
 
 from repro.baselines import SortedArrayIndex
-from repro.baselines.interfaces import InvalidKeyError
+from repro.baselines.interfaces import DuplicateKeyError, InvalidKeyError
 from repro.core import ChameleonIndex
 from repro.datasets import face_like
 from repro.robustness.durability import (
@@ -20,6 +20,7 @@ from repro.robustness.durability import (
     DurableIndex,
     RecoveryManager,
     TornWriteError,
+    WALRecord,
     WriteAheadLog,
     apply_record,
     encode_frame,
@@ -29,6 +30,8 @@ from repro.robustness.durability import (
     run_crash_case,
     scan,
 )
+from repro.robustness.durability import recovery as recovery_mod
+from repro.robustness.durability.wal import OP_DELETE_BATCH, OP_INSERT_BATCH
 from repro.robustness.faults import FaultInjector, FaultMode, InjectedFault
 
 
@@ -217,6 +220,99 @@ def test_double_replay_is_idempotent(tmp_path):
     for record in replayed:
         apply_record(index, record)
     assert dict(index.items()) == before == states[max(states)]
+
+
+def _per_key_apply(index, record):
+    """Reference replay: every batch frame as one scalar op per key."""
+    if record.op == OP_INSERT_BATCH:
+        keys, values = record.payload
+        mutated = False
+        for i, key in enumerate(keys):
+            try:
+                index.insert(float(key), None if values is None else values[i])
+            except DuplicateKeyError:
+                continue
+            mutated = True
+        return mutated
+    if record.op == OP_DELETE_BATCH:
+        (keys,) = record.payload
+        return any([index.delete(float(key)) for key in keys])
+    return apply_record(index, record)
+
+
+def test_batch_replay_matches_per_key_replay(tmp_path, monkeypatch):
+    """Batch frames replay as one lookup/insert batch (or one delete
+    batch) and recover exactly what a per-key replay recovers; the
+    checkpoint covers part of the retained log, so some frames skip."""
+    keys = sorted({float(k) for k in face_like(3000, seed=11)})
+    loaded, fresh = keys[:1500], keys[1500:]
+    durable = DurableIndex(
+        ChameleonIndex(strategy="ChaB"),
+        tmp_path,
+        fsync="group",
+        checkpoint_every_records=7,
+        keep_checkpoints=2,
+    )
+    durable.bulk_load(loaded)
+    for r in range(10):
+        batch = fresh[r * 120 : (r + 1) * 120]
+        if r % 2:
+            durable.insert_batch(batch, [k * 2.0 for k in batch])
+        else:
+            durable.insert_batch(batch)
+        durable.delete_batch(loaded[r * 90 : r * 90 + 70] + [-1.0])
+        durable.insert_batch(fresh[1200 + r * 10 : 1200 + r * 10 + 5])  # below _FUSED_MIN
+    durable.insert(fresh[-1])
+    durable.delete(loaded[-1])
+    durable.close()
+    log = scan(tmp_path / "wal").records
+    assert any(r.op == OP_INSERT_BATCH for r in log)
+
+    batch_index, batch_report = RecoveryManager(tmp_path, ChameleonIndex).recover()
+    with monkeypatch.context() as m:
+        m.setattr(recovery_mod, "apply_record", _per_key_apply)
+        key_index, key_report = RecoveryManager(tmp_path, ChameleonIndex).recover()
+
+    assert batch_report.used_checkpoint
+    # The retained log reaches back past the newest checkpoint, and the
+    # tail holds every kind of batch frame.
+    assert log[0].lsn < batch_report.checkpoint_lsn
+    assert batch_report.skipped_records > 0
+    tail_ops = [r.op for r in log if r.lsn > batch_report.checkpoint_lsn]
+    assert tail_ops.count(OP_INSERT_BATCH) == 2 and OP_DELETE_BATCH in tail_ops
+    for field in ("replayed_records", "skipped_records", "failed_applies", "last_lsn"):
+        assert getattr(batch_report, field) == getattr(key_report, field), field
+    assert batch_report.failed_applies == 0
+    assert sorted(batch_index.items()) == sorted(key_index.items())
+    assert sorted(batch_index.items()) == sorted(durable.items())
+    assert batch_index.verify_integrity().ok
+
+    # Replaying the whole retained log again changes nothing: present keys
+    # are skipped by the batch lookup, absent deletes report False.
+    before = sorted(batch_index.items())
+    for record in log:
+        if record.op in (OP_INSERT_BATCH, OP_DELETE_BATCH):
+            assert not apply_record(batch_index, record)
+    assert sorted(batch_index.items()) == before
+
+
+def test_insert_batch_replay_skips_present_and_repeated_keys():
+    """A frame repeating a key, or naming one already present, inserts
+    each absent key once with its first logged value."""
+    index = ChameleonIndex(strategy="ChaB")
+    index.bulk_load([1.0, 2.0, 3.0])
+    frame = WALRecord(
+        lsn=7,
+        op=OP_INSERT_BATCH,
+        payload=([2.0, 5.0, 6.0, 5.0], ["two", "five", "six", "again"]),
+    )
+    assert apply_record(index, frame)
+    assert dict(index.items()) == {1.0: 1.0, 2.0: 2.0, 3.0: 3.0, 5.0: "five", 6.0: "six"}
+    assert not apply_record(index, frame)
+    delete = WALRecord(lsn=8, op=OP_DELETE_BATCH, payload=([5.0, 5.0, 9.0],))
+    assert apply_record(index, delete)
+    assert not apply_record(index, delete)
+    assert sorted(index.items()) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (6.0, "six")]
 
 
 def _mixed_ops(index, keys, pool):

@@ -12,6 +12,7 @@ from repro.baselines.interfaces import (
 )
 from repro.baselines.sorted_array import SortedArrayIndex
 from repro.core import ChameleonConfig, ChameleonIndex, IntervalLockManager
+from repro.datasets import load as load_dataset
 
 
 def build(keys, strategy="ChaB", **kwargs):
@@ -257,6 +258,88 @@ class TestWithLockManager:
         assert index.lookup(new_key) == new_key
         assert index.delete(new_key)
         assert index.counters.lock_acquisitions > 0
+
+    def test_locked_lookup_before_load_raises_typed_error(self):
+        manager = IntervalLockManager()
+        index = ChameleonIndex(strategy="ChaB", lock_manager=manager)
+        with pytest.raises(EmptyIndexError):
+            index.lookup(1.0)
+        with pytest.raises(EmptyIndexError):
+            index.peek(1.0)
+        assert manager.stuck_intervals() == []
+
+
+def _split_stream():
+    """A UDEN base plus a locally skewed insert wave that splits a leaf,
+    with mixed present/absent lookups and deletes of loaded keys."""
+    keys = load_dataset("UDEN", 2000, seed=18)
+    lo, hi = float(keys.min()), float(keys.max())
+    rng = np.random.default_rng(43)
+    heavy = np.unique(
+        lo + 0.3 * (hi - lo) + 0.01 * (hi - lo) * rng.lognormal(0.0, 2.0, 900) / 200.0
+    )
+    lookups = np.concatenate([rng.choice(keys, 300), rng.uniform(lo, hi, 300)])
+    deletes = rng.choice(keys, 200, replace=False)
+    return keys, heavy, lookups, deletes
+
+
+def _without_lock_traffic(delta):
+    delta.pop("lock_acquisitions")
+    delta.pop("lock_waits", None)
+    return delta
+
+
+class TestLockedCostEqualsUnlocked:
+    """A query lock adds lock traffic and nothing else: a locked op walks
+    the upper levels once, then continues below the lock boundary, so
+    node hops and model evaluations equal the unlocked descent's."""
+
+    def _scalar_delta(self, lock):
+        keys, heavy, lookups, deletes = _split_stream()
+        manager = IntervalLockManager(debug_asserts=True) if lock else None
+        index = build(keys, lock_manager=manager)
+        before = index.counters.snapshot()
+        got = [index.lookup(float(k)) for k in lookups]
+        for k in heavy.tolist():
+            index.insert(k)
+        got += [index.lookup(float(k)) for k in heavy[::7]]
+        got += [index.delete(float(k)) for k in deletes]
+        delta = index.counters.diff(before)
+        assert index.verify_integrity().ok
+        return index, got, delta
+
+    def test_scalar_stream_counts_equal(self):
+        plain, plain_got, plain_delta = self._scalar_delta(lock=False)
+        locked, locked_got, locked_delta = self._scalar_delta(lock=True)
+        assert plain_delta["splits"] > 0  # the stream really split a leaf
+        assert plain_delta["lock_acquisitions"] == 0
+        assert locked_delta["lock_acquisitions"] > 0
+        assert locked_got == plain_got
+        assert _without_lock_traffic(locked_delta) == _without_lock_traffic(plain_delta)
+        assert sorted(locked.items()) == sorted(plain.items())
+        assert locked.lock_manager.race_report() == []
+
+    def test_locked_batch_with_split_counts_equal(self):
+        """The grouped insert re-descends the keys after a split from the
+        group's boundary, not the root, and still matches the scalar cost."""
+        keys, heavy, _, deletes = _split_stream()
+        index = build(keys, lock_manager=IntervalLockManager(debug_asserts=True))
+        before = index.counters.snapshot()
+        for i in range(0, heavy.size, 512):
+            index.insert_batch(heavy[i : i + 512])
+        index.delete_batch(deletes)
+        batch_delta = _without_lock_traffic(index.counters.diff(before))
+        plain = build(keys)
+        before = plain.counters.snapshot()
+        for k in heavy.tolist():
+            plain.insert(k)
+        for k in deletes.tolist():
+            plain.delete(k)
+        write_delta = _without_lock_traffic(plain.counters.diff(before))
+        assert write_delta["splits"] > 0
+        assert batch_delta == write_delta
+        assert sorted(index.items()) == sorted(plain.items())
+        assert index.verify_integrity().ok
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -1,5 +1,6 @@
 """Tests for the Interval Lock protocol (Definition 4, Section V-A)."""
 
+import sys
 import threading
 import time
 
@@ -218,6 +219,161 @@ class TestRetrainLockDeadline:
             t.join(timeout=2)
             assert not t.is_alive()
         assert manager.active_intervals() == 0
+
+
+class _CountingCondition(threading.Condition):
+    """A condition that counts its ``notify_all`` calls."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.notifies = 0
+
+    def notify_all(self):
+        self.notifies += 1
+        super().notify_all()
+
+
+def _wait_until(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@pytest.fixture(params=[False, True], ids=["plain", "debug"])
+def any_manager(request):
+    return IntervalLockManager(debug_asserts=request.param)
+
+
+class TestQueryGuardWakeups:
+    """The slotted query guard wakes exactly the waiters it must."""
+
+    def _retrain_waiters(self, manager, ids):
+        with manager._mutex:
+            return manager._states[ids].retrain_waiters
+
+    def test_retrainer_acquires_when_last_reader_exits(self, any_manager):
+        ids = (11,)
+        acquired = threading.Event()
+
+        def retrainer():
+            with any_manager.retrain_lock(ids) as ok:  # no timeout: needs a wake-up
+                assert ok
+                acquired.set()
+
+        t = threading.Thread(target=retrainer, daemon=True)
+        with any_manager.query_lock(ids):
+            with any_manager.query_lock(ids):
+                t.start()
+                assert _wait_until(lambda: self._retrain_waiters(any_manager, ids) == 1)
+            # One reader still holds the interval.
+            assert not acquired.wait(timeout=0.05)
+        assert acquired.wait(timeout=2.0), "retrainer missed the last reader's release"
+        t.join(timeout=2)
+        assert self._retrain_waiters(any_manager, ids) == 0
+        assert any_manager.stuck_intervals() == []
+
+    def test_reader_resumes_when_retrain_releases(self, any_manager):
+        ids = (12,)
+        entered = threading.Event()
+
+        def reader():
+            with any_manager.query_lock(ids):
+                entered.set()
+
+        t = threading.Thread(target=reader, daemon=True)
+        with any_manager.retrain_lock(ids) as ok:
+            assert ok
+            t.start()
+            assert not entered.wait(timeout=0.05)
+        assert entered.wait(timeout=2.0), "reader missed the retrain's release"
+        t.join(timeout=2)
+        assert any_manager.stuck_intervals() == []
+
+    def test_reader_release_without_waiter_does_not_notify(self, any_manager):
+        ids = (13,)
+        with any_manager.query_lock(ids):
+            pass
+        state = any_manager._states[ids]
+        state.condition = _CountingCondition(any_manager._mutex)
+        for _ in range(20):
+            with any_manager.query_lock(ids):
+                with any_manager.query_lock(ids):
+                    pass
+        assert state.condition.notifies == 0
+        # A waiting retrainer is woken by the last release, and only then.
+        acquired = threading.Event()
+
+        def retrainer():
+            with any_manager.retrain_lock(ids) as ok:
+                assert ok
+                acquired.set()
+
+        t = threading.Thread(target=retrainer, daemon=True)
+        with any_manager.query_lock(ids):
+            t.start()
+            assert _wait_until(lambda: self._retrain_waiters(any_manager, ids) == 1)
+        assert acquired.wait(timeout=2.0)
+        t.join(timeout=2)
+        assert state.condition.notifies >= 1
+        assert any_manager.stuck_intervals() == []
+
+    def test_exception_in_body_releases_the_reader(self, any_manager):
+        ids = (14,)
+        counters = Counters()
+        with pytest.raises(RuntimeError):
+            with any_manager.query_lock(ids, counters):
+                raise RuntimeError("body failed")
+        assert counters.lock_acquisitions == 1
+        assert any_manager.stuck_intervals() == []
+        assert any_manager.held_modes(ids) == ()
+        with any_manager.retrain_lock(ids, timeout=0.1) as ok:
+            assert ok
+        assert any_manager.race_report() == []
+
+
+class TestGuardStress:
+    def test_no_lost_wakeup_under_fast_switching(self, any_manager):
+        """Readers and untimed retrainers on one interval, with the
+        interpreter switching threads every few microseconds: every thread
+        finishes (a missed notify would park a retrainer for good) and no
+        reader ever overlaps a retrain."""
+        ids = (15,)
+        overlaps = []
+        barrier = threading.Barrier(5)
+
+        def reader():
+            barrier.wait(timeout=5)
+            for _ in range(300):
+                with any_manager.query_lock(ids):
+                    if any_manager._states[ids].retraining:
+                        overlaps.append("reader saw a retrain")
+
+        def retrainer():
+            barrier.wait(timeout=5)
+            for _ in range(100):
+                with any_manager.retrain_lock(ids) as ok:
+                    assert ok
+                    if any_manager._states[ids].readers:
+                        overlaps.append("retrain saw a reader")
+
+        threads = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
+        threads += [threading.Thread(target=retrainer, daemon=True) for _ in range(2)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads), "a thread never woke"
+        assert overlaps == []
+        assert any_manager.stuck_intervals() == []
+        assert any_manager.race_report() == []
 
 
 class TestDiagnostics:
